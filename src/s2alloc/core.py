@@ -42,6 +42,19 @@ GUARDED = 3
 
 _ENSURE_CAP = 10_000
 
+# Zero buffers by length, made on first use and shared by every bag and heap
+# (bytes are immutable): class-sized ones to clear and check free small slots,
+# window-sized ones for the patrol's all-free screen.
+_ZEROS: dict[int, bytes] = {}
+
+
+def zero_bytes(n: int) -> bytes:
+    """The shared zero buffer of n bytes."""
+    zeros = _ZEROS.get(n)
+    if zeros is None:
+        zeros = _ZEROS[n] = bytes(n)
+    return zeros
+
 
 class DetectionKind(Enum):
     FBC_TAMPER = "FBC_TAMPER"
@@ -142,7 +155,7 @@ class Bag:
         self.free_ids = array("i")
         self.free_pos = array("i")
         self.n_free = 0
-        self.zeros = bytes(class_size)
+        self.zeros = b""  # zero_bytes(class_size) once the class is in use
         self.small = class_size < heap.cfg.page_size
         self.subbag_bytes = class_size * SLOTS_PER_SUBBAG
         self.npages = self.subbag_bytes // heap.cfg.page_size
@@ -152,6 +165,7 @@ class Bag:
         cfg = heap.cfg
         base, buf, off = heap.pool.carve(self.subbag_bytes)
         sb = SubBag(self, len(self.subbags), base, buf, off)
+        self.zeros = zero_bytes(self.b)
         self.subbags.append(sb)
 
         # Guard-page roll (one draw always, for reproducible traces).
@@ -266,7 +280,6 @@ class ThreadHeap:
         self.reports: list[DetectionReport] = []
         self.on_detection = on_detection
         self._lock = threading.RLock()
-        self._zeros_c = bytes(cfg.fbc_len)
         # Hot-path copies of frozen config fields.
         self._r = cfg.r
         self._d = cfg.nearby_check
@@ -297,79 +310,94 @@ class ThreadHeap:
 
     def check_fbc(self, sb: SubBag, slot: int) -> FbcCheck:
         """Verify the free-block canary of one free slot (pure check, no report)."""
+        state = sb.bag.taken[(sb.index << 8) + slot]
+        # Checked as free whatever its state: FREE_MAC slots against their
+        # keyed canary, every other slot as never allocated.
+        hit = self._fbc_scan(sb, slot, (FREE_MAC if state == FREE_MAC else FREE_FRESH,))
+        return FbcCheck(True) if hit is None else hit[1]
+
+    def _fbc_scan(self, sb: SubBag, first: int, states) -> Optional[tuple[int, FbcCheck]]:
+        """The free-block canary rule, over slots first, first + 1, ... of sb.
+
+        ``states`` holds those slots' states; odd ones (TAKEN, GUARDED) are
+        skipped. A free small slot must be all zero. A free page-or-larger
+        slot must hold its keyed canary at the recorded position (FREE_MAC),
+        or zeros at offset 0 if it was never allocated (FREE_FRESH). Returns
+        the first slot that breaks the rule with what was expected and found
+        there, or None.
+        """
         bag = sb.bag
         b = bag.b
-        start = sb.off + slot * b
-        state = bag.taken[(sb.index << 8) + slot]
-        if b < self.cfg.page_size:
-            found = bytes(sb.buf[start:start + b])
-            if found == bag.zeros:
-                return FbcCheck(True)
-            pos = next(i for i, byte in enumerate(found) if byte)
-            return FbcCheck(False, b"\x00", found[pos:pos + 1], pos)
-        c = self.cfg.fbc_len
-        if state == FREE_MAC:
-            f = bag.offset[(sb.index << 8) + slot]
-            expected = sb.fbc[slot * c:(slot + 1) * c]
-        else:
-            f = 0
-            expected = self._zeros_c
-        found = bytes(sb.buf[start + f:start + f + c])
-        if found == expected:
-            return FbcCheck(True)
-        return FbcCheck(False, expected, found, f)
+        buf = sb.buf
+        start = sb.off + first * b
+        if bag.small:
+            zeros = bag.zeros
+            for k, state in enumerate(states, first):
+                if not state & 1:
+                    found = buf[start:start + b]
+                    if found != zeros:
+                        pos = next(i for i, byte in enumerate(found) if byte)
+                        return k, FbcCheck(False, b"\x00", bytes(found[pos:pos + 1]), pos)
+                start += b
+            return None
+        c = self._c
+        fbc = sb.fbc
+        offsets = bag.offset
+        base_gid = sb.index << 8
+        for k, state in enumerate(states, first):
+            if not state & 1:
+                if state == FREE_MAC:
+                    f = offsets[base_gid + k]
+                    expected = fbc[k * c:(k + 1) * c]
+                else:
+                    f = 0
+                    expected = zero_bytes(c)
+                found = buf[start + f:start + f + c]
+                if found != expected:
+                    return k, FbcCheck(False, expected, bytes(found), f)
+            start += b
+        return None
 
     def _check_window(self, bag: Bag, gid: int) -> Optional[DetectionReport]:
         """Check the chosen slot's free-block canary plus d neighbors each side."""
         d = self._d
         slot = gid & 255
-        base_gid = gid - slot
         lo = slot - d if slot >= d else 0
-        hi = slot + d
-        if hi > SLOTS_PER_SUBBAG - 1:
-            hi = SLOTS_PER_SUBBAG - 1
-        taken = bag.taken
+        hi = slot + d + 1
+        if hi > SLOTS_PER_SUBBAG:
+            hi = SLOTS_PER_SUBBAG
+        base_gid = gid - slot
+        states = bag.taken[base_gid + lo:base_gid + hi]
         sb = bag.subbags[gid >> 8]
-        buf = sb.buf
-        off = sb.off
-        b = bag.b
         if bag.small:
-            zeros = bag.zeros
-            for k in range(lo, hi + 1):
-                state = taken[base_gid + k]
-                if state == TAKEN or state == GUARDED:
-                    continue
-                start = off + k * b
-                if buf[start:start + b] != zeros:
-                    result = self.check_fbc(sb, k)
-                    return self._report(
-                        DetectionKind.FBC_TAMPER, sb.base + k * b, b,
-                        result.expected, result.found,
-                        f"free-slot canary mismatch at slot offset {result.position}",
-                    )
-            return None
-        c = self._c
-        fbc = sb.fbc
-        offsets = bag.offset
-        zeros_c = self._zeros_c
-        for k in range(lo, hi + 1):
-            state = taken[base_gid + k]
-            if state == TAKEN or state == GUARDED:
-                continue
-            if state == FREE_MAC:
-                f = offsets[base_gid + k]
-                expected = fbc[k * c:(k + 1) * c]
+            # Fast path for the common clean window: free small slots hold
+            # only zeros, so one compare covers an all-free window and one per
+            # free slot covers the rest. A mismatch goes on to the scan, which
+            # finds the slot and what it holds for the report.
+            b = bag.b
+            buf = sb.buf
+            start = sb.off + lo * b
+            if states.count(FREE_FRESH) == hi - lo:
+                n = (hi - lo) * b
+                if buf[start:start + n] == zero_bytes(n):
+                    return None
             else:
-                f = 0
-                expected = zeros_c
-            start = off + k * b + f
-            if buf[start:start + c] != expected:
-                return self._report(
-                    DetectionKind.FBC_TAMPER, sb.base + k * b, b,
-                    expected, bytes(buf[start:start + c]),
-                    f"free-slot canary mismatch at slot offset {f}",
-                )
-        return None
+                zeros = bag.zeros
+                for state in states:
+                    if not state & 1 and buf[start:start + b] != zeros:
+                        break
+                    start += b
+                else:
+                    return None
+        hit = self._fbc_scan(sb, lo, states)
+        if hit is None:
+            return None
+        k, mismatch = hit
+        return self._report(
+            DetectionKind.FBC_TAMPER, sb.base + k * bag.b, bag.b,
+            mismatch.expected, mismatch.found,
+            f"free-slot canary mismatch at slot offset {mismatch.position}",
+        )
 
     # -- allocation ----------------------------------------------------------
 
@@ -412,7 +440,10 @@ class ThreadHeap:
         cpos = p + req
         if cpos + iota > b:
             cpos = b - iota
-        sb.buf[start + cpos:start + cpos + iota] = sb.hc[slot * iota:(slot + 1) * iota]
+        if iota == 1:
+            sb.buf[start + cpos] = sb.hc[slot]
+        else:
+            sb.buf[start + cpos:start + cpos + iota] = sb.hc[slot * iota:(slot + 1) * iota]
         bag.taken[gid] = TAKEN
         bag.offset[gid] = p
         bag.req[gid] = req
@@ -482,9 +513,13 @@ class ThreadHeap:
         if cpos + iota > b:
             cpos = b - iota
         start = sb.off + slot * b
-        found = bytes(sb.buf[start + cpos:start + cpos + iota])
-        expected = sb.hc[slot * iota:(slot + 1) * iota]
-        if found != expected:
+        if iota == 1:
+            intact = sb.buf[start + cpos] == sb.hc[slot]
+        else:
+            intact = sb.buf[start + cpos:start + cpos + iota] == sb.hc[slot * iota:(slot + 1) * iota]
+        if not intact:
+            expected = sb.hc[slot * iota:(slot + 1) * iota]
+            found = bytes(sb.buf[start + cpos:start + cpos + iota])
             return self._report(
                 DetectionKind.HEAP_CANARY_TAMPER, slot_address, b,
                 expected=expected, found=found,

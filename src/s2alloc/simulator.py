@@ -254,8 +254,12 @@ def evaluate_point(strategy: str, params: ModelParams, trials: int, seed: int) -
     return point
 
 
-def format_grid_report(points: list[GridPoint], elapsed: float) -> str:
-    """Human-readable cross-validation report for a batch of grid points."""
+def format_grid_report(points: list[GridPoint], elapsed: Optional[float] = None) -> str:
+    """Human-readable cross-validation report for a batch of grid points.
+
+    The ``elapsed:`` line is written only when ``elapsed`` is given, so a
+    report without it depends on the points alone.
+    """
     lines = [
         "Cross-validation of analytical rate series against Monte Carlo simulation",
         "",
@@ -285,8 +289,9 @@ def format_grid_report(points: list[GridPoint], elapsed: float) -> str:
         f"worst |z| attack, against best-matching series variant: {worst_att:.2f}",
         f"worst |z| detect, stale-fixed strategy: {worst_det_fixed:.2f}",
         f"fresh-reference points with detect |z| > 3 against both variants: {fresh_det_divergent}",
-        f"elapsed: {elapsed:.1f}s",
     ]
+    if elapsed is not None:
+        lines.append(f"elapsed: {elapsed:.1f}s")
     if fresh_det_divergent:
         lines += [
             "",

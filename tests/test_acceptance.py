@@ -5,6 +5,7 @@ fixed seeds so a pass is reproducible bit-for-bit; 3-sigma bands refer to the
 binomial standard error at the stated trial count.
 """
 
+import hashlib
 import math
 import os
 import time
@@ -99,7 +100,9 @@ def test_criterion04_series_vs_simulation_grid_agreement():
                                          seed=20260814))
     elapsed = time.monotonic() - start
 
-    report = format_grid_report(points, elapsed)
+    # Written without its elapsed time, so a run leaves the tracked report
+    # unchanged unless a rate moves.
+    report = format_grid_report(points)
     report_path = REPO_ROOT / "acceptance_grid_report.txt"
     report_path.write_text(report + "\n")
 
@@ -320,6 +323,22 @@ def test_criterion09_fixed_seed_runs_are_bit_identical():
     first = simulate_strategy("s2", p, trials=20_000, seed=11)
     second = simulate_strategy("s2", p, trials=20_000, seed=11)
     assert first == second
+
+
+# sha256 of repr((addresses, reports, guard pages)) of run_reference_trace,
+# pinned from the one-step-per-output generator and the slot-by-slot patrol:
+# a faster heap must still produce these traces bit for bit.
+REFERENCE_TRACE_SHA256 = {
+    909: "344b03ae8c032857823b06ec24cad4789ab4600b625e59965a2a5876a4f73577",
+    910: "b377f8a321d382a33cd6012e41e9cbb4d6e76a45812cefbcc77ba793b4602414",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REFERENCE_TRACE_SHA256))
+def test_reference_trace_digest_is_pinned(seed):
+    addresses, reports, pages = run_reference_trace(seed)
+    record = (addresses, [(kind.value, slot, detail) for kind, slot, detail in reports], pages)
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == REFERENCE_TRACE_SHA256[seed]
 
 
 @pytest.mark.parametrize("size", [16, 128, 1024])

@@ -227,6 +227,122 @@ def test_non_abort_malloc_returns_null_on_tamper():
     assert any(r.kind == DetectionKind.FBC_TAMPER for r in heap.reports)
 
 
+# -- the allocation-time patrol ----------------------------------------------------
+
+
+def reference_patrol(heap, bag, gid):
+    """The patrol's verdict worked out slot by slot: the first free slot in the
+    window whose free-block canary differs, as (slot address, expected, found,
+    offset), or None."""
+    d = heap.cfg.nearby_check
+    c = heap.cfg.fbc_len
+    slot = gid & 255
+    sb = bag.subbags[gid >> 8]
+    b = bag.b
+    for k in range(max(0, slot - d), min(255, slot + d) + 1):
+        state = bag.taken[gid - slot + k]
+        if state in (TAKEN, GUARDED):
+            continue
+        start = sb.off + k * b
+        if bag.small:
+            found = bytes(sb.buf[start:start + b])
+            if found != bytes(b):
+                pos = next(i for i, byte in enumerate(found) if byte)
+                return sb.base + k * b, b"\x00", found[pos:pos + 1], pos
+            continue
+        if state == FREE_MAC:
+            f = bag.offset[gid - slot + k]
+            expected = sb.fbc[k * c:(k + 1) * c]
+        else:
+            f, expected = 0, bytes(c)
+        found = bytes(sb.buf[start + f:start + f + c])
+        if found != expected:
+            return sb.base + k * b, expected, found, f
+    return None
+
+
+def patrol_verdict(heap, bag, gid):
+    """Run the heap's patrol on one chosen slot; return what it reported."""
+    n_reports = len(heap.reports)
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            returned = heap._check_window(bag, gid)
+        except HeapCorruptionError as exc:
+            assert heap.cfg.abort_on_tamper
+            report = exc.report
+        else:
+            assert returned is None or not heap.cfg.abort_on_tamper
+            report = returned
+    assert len(heap.reports) == n_reports + (report is not None)
+    if report is None:
+        return None
+    assert report.kind == DetectionKind.FBC_TAMPER and report.class_size == bag.b
+    offset = int(report.detail.rsplit(" ", 1)[1])
+    assert report.detail == f"free-slot canary mismatch at slot offset {offset}"
+    return report.slot_address, report.expected, report.found, offset
+
+
+def tamper_spots(heap, bag, gid):
+    """Byte addresses to tamper in one slot: inside its free-block canary, and
+    for page-sized free slots one byte just outside it."""
+    sb = bag.subbags[gid >> 8]
+    base = sb.base + (gid & 255) * bag.b
+    state = bag.taken[gid]
+    if bag.small:
+        return [base + (gid * 7) % bag.b]
+    if state in (TAKEN, GUARDED):
+        return [base]
+    c = heap.cfg.fbc_len
+    f = bag.offset[gid] if state == FREE_MAC else 0
+    outside = f + c if f + c < bag.b else f - 1
+    return [base + f + gid % c, base + outside]
+
+
+@pytest.mark.parametrize("request_size", [24, 3000], ids=["class32", "class4096"])
+def test_patrol_reports_match_slot_by_slot_reference(request_size):
+    heaps = []
+    for abort in (True, False):
+        heap = make_heap(seed=516, guard_page_rate=1.0, abort_on_tamper=abort)
+        live = [heap.malloc(request_size) for _ in range(700)]
+        for address in live[1::2]:
+            heap.free(address)
+        heaps.append((heap, heap.resolve(live[0])[1].bag))
+    d = heaps[0][0].cfg.nearby_check
+    bag0 = heaps[0][1]
+    assert bag0.taken == heaps[1][1].taken
+    assert bag0.small == (request_size == 24)
+
+    chosen_slots = set()
+    windows = set()
+    reports = 0
+    for gid in range(len(bag0.taken)):
+        if bag0.taken[gid] & 1:
+            continue  # the patrol only ever starts from a free slot
+        slot = gid & 255
+        lo, hi = max(0, slot - d), min(255, slot + d)
+        states = set(bag0.taken[gid - slot + lo:gid - slot + hi + 1])
+        chosen_slots.add(slot)
+        windows.add("taken" if TAKEN in states else "all free")
+        if GUARDED in states:
+            windows.add("guarded")
+        for heap, bag in heaps:
+            assert patrol_verdict(heap, bag, gid) is None  # intact window
+        for k in range(gid - slot + lo, gid - slot + hi + 1):
+            for spot in tamper_spots(heaps[0][0], bag0, k):
+                for heap, bag in heaps:
+                    original = heap.backing.raw_read(spot, 1)
+                    heap.backing.raw_write(spot, bytes([original[0] ^ 0xA5]))
+                    expected = reference_patrol(heap, bag, gid)
+                    assert patrol_verdict(heap, bag, gid) == expected, (gid, k, spot)
+                    heap.backing.raw_write(spot, original)
+                    reports += expected is not None
+    assert {0, 1, 254, 255} <= chosen_slots
+    assert windows == {"all free", "taken", "guarded"}
+    assert reports > 0
+    if not bag0.small:
+        assert {FREE_FRESH, FREE_MAC} <= set(bag0.taken)
+
+
 # -- huge allocations ------------------------------------------------------------
 
 

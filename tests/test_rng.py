@@ -2,7 +2,46 @@
 
 import pytest
 
-from s2alloc.rng import PcgState, current_thread_id, heap_rng
+from s2alloc.rng import BLOCK, PcgState, current_thread_id, heap_rng
+
+_MASK64 = (1 << 64) - 1
+
+
+class ScalarPcg:
+    """Reference generator: one LCG step per output, as the published
+    PCG-XSH-RR 64/32 code does it. The block generator must match it."""
+
+    def __init__(self, seed, seq=0):
+        self.inc = ((seq << 1) | 1) & _MASK64
+        self.state = 0
+        self.outputs = 0
+        self.next32()
+        self.state = (self.state + (seed & _MASK64)) & _MASK64
+        self.next32()
+        self.outputs = 0
+
+    def next32(self):
+        old = self.state
+        self.state = (old * 6364136223846793005 + self.inc) & _MASK64
+        self.outputs += 1
+        xorshifted = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFF
+        rot = old >> 59
+        return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & 0xFFFFFFFF
+
+    def uniform_below(self, bound):
+        threshold = (1 << 32) % bound
+        while True:
+            raw = self.next32()
+            if raw >= threshold:
+                return raw % bound
+
+    def coin(self, rate):
+        raw = self.next32()
+        if rate <= 0.0:
+            return False
+        if rate >= 1.0:
+            return True
+        return raw < int(rate * (1 << 32))
 
 # Output of the 64/32 xorshift-rotate generator for seed=42, sequence=54,
 # cross-checked against the generator author's published reference output.
@@ -109,3 +148,31 @@ def test_heap_rng_unseeded_streams_differ():
 def test_current_thread_id_is_stable_int():
     assert isinstance(current_thread_id(), int)
     assert current_thread_id() == current_thread_id()
+
+
+# Draws that interleave every kind of call: bounds 1 and 2**32 never reject,
+# 3 rarely, 2**31 + 1 about half the time.
+_SCHEDULE = [
+    ("next32", None), ("uniform_below", 1), ("coin", 0.3), ("uniform_below", 3),
+    ("uniform_below", 2**31 + 1), ("coin", 0.0), ("uniform_below", 2**32),
+    ("uniform_below", 2**31 + 1), ("coin", 1.0), ("uniform_below", 2**31 + 1),
+]
+
+
+@pytest.mark.parametrize("seed, seq", [(42, 54), (0, 0), (2**64 - 1, 2**63 + 5),
+                                       (-7, 3), (240201894, 0), (909, 140000)])
+def test_block_generator_matches_scalar_reference(seed, seq):
+    block, scalar = PcgState(seed, seq), ScalarPcg(seed, seq)
+    crossings = 0  # rejected draws whose redraw starts a new block
+    step = 0
+    while scalar.outputs < 3 * BLOCK or crossings < 3:
+        assert scalar.outputs < 400 * BLOCK, "too few rejections cross a block edge"
+        op, arg = _SCHEDULE[step % len(_SCHEDULE)]
+        step += 1
+        before = scalar.outputs
+        expected = getattr(scalar, op)() if arg is None else getattr(scalar, op)(arg)
+        got = getattr(block, op)() if arg is None else getattr(block, op)(arg)
+        assert got == expected, (step, op, arg)
+        crossings += any(k % BLOCK == 0 for k in range(before + 1, scalar.outputs))
+    assert [block.next32() for _ in range(2 * BLOCK + 3)] == \
+        [scalar.next32() for _ in range(2 * BLOCK + 3)]

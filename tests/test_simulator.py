@@ -196,6 +196,7 @@ def test_grid_report_structure_and_attribution():
     assert "strategy" in report and "z(att)" in report and "z(det)" in report
     assert "worst |z| attack" in report
     assert "elapsed: 1.0s" in report
+    assert "elapsed:" not in format_grid_report(points)
     for pt in points:
         assert f"{pt.result.attack_rate:9.5f}" in report
 
