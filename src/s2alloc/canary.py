@@ -14,12 +14,9 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Optional
 
-from . import _aes
+import numpy as np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+from . import _aes
 
 try:
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -123,7 +120,7 @@ class KeyedCanary:
     compute_canary.
     """
 
-    __slots__ = ("key", "_k1", "_k1_int", "_round_keys", "_hw")
+    __slots__ = ("key", "_k1", "_round_keys", "_hw")
 
     def __init__(self, key: bytes, backend: str = "auto"):
         if len(key) != 16:
@@ -131,7 +128,6 @@ class KeyedCanary:
         self.key = key
         self._hw = _use_hw(backend)
         self._k1, _ = cmac_subkeys(key, backend="hw" if self._hw else "sw")
-        self._k1_int = int.from_bytes(self._k1, "big")
         self._round_keys = None if self._hw else _aes.expand_key(key)
 
     def tag16(self, address: int) -> bytes:
@@ -148,22 +144,17 @@ class KeyedCanary:
     def batch_tags(self, addresses: Iterable[int]) -> bytes:
         """Concatenated 16-byte tags for a sequence of addresses."""
         addrs = list(addresses)
-        if _np is not None and addrs:
-            mat = _np.zeros((len(addrs), 16), dtype=_np.uint8)
-            mat[:, :8] = (
-                _np.asarray(addrs, dtype=_np.uint64)
-                .astype("<u8")
-                .view(_np.uint8)
-                .reshape(len(addrs), 8)
-            )
-            mat ^= _np.frombuffer(self._k1, dtype=_np.uint8)
-            blocks = mat.tobytes()
-        else:
-            k1 = self._k1_int
-            blocks = b"".join(
-                (int.from_bytes(_encode_address(a), "big") ^ k1).to_bytes(16, "big")
-                for a in addrs
-            )
+        if not addrs:
+            return b""
+        mat = np.zeros((len(addrs), 16), dtype=np.uint8)
+        mat[:, :8] = (
+            np.asarray(addrs, dtype=np.uint64)
+            .astype("<u8")
+            .view(np.uint8)
+            .reshape(len(addrs), 8)
+        )
+        mat ^= np.frombuffer(self._k1, dtype=np.uint8)
+        blocks = mat.tobytes()
         if self._hw:
             return _ecb_encrypt_hw(self.key, blocks)
         rk = self._round_keys

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import json
+import resource
 import sys
 import threading
 import time
@@ -112,26 +114,59 @@ def cmd_analyze(args, out) -> int:
     return 0
 
 
+def _simulate_record(args, params: ModelParams, result, series, elapsed: float) -> dict:
+    """One JSON-ready record of a simulated point: inputs, rates, cost."""
+    def rate(value):
+        return None if result.trials == 0 else value  # undefined without trials
+
+    return {
+        "strategy": args.strategy,
+        "params": dataclasses.asdict(params),
+        "trials": args.trials,
+        "seed": args.seed,
+        "against_allocator": args.against_allocator,
+        "attack_rate": rate(result.attack_rate),
+        "attack_ci95": rate(result.ci95_attack),
+        "detect_rate": rate(result.detect_rate),
+        "detect_ci95": rate(result.ci95_detect),
+        "neither_rate": rate(result.neither_rate),
+        "series_final_attack": None if series is None else series.final_attack,
+        "series_final_detect": None if series is None else series.final_detect,
+        "elapsed_s": elapsed,
+        # ru_maxrss is in KiB on Linux: the process's peak so far.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
 def cmd_simulate(args, out) -> int:
     b_values = _parse_b_values(args)
     _validate_points(args, b_values)
     status = 0
     for b in b_values:
         params = _params_for(args, b)
+        started = time.perf_counter()
         if args.against_allocator:
             result = simulate_allocator_attack(
                 args.strategy, size=args.s, rounds=args.rounds,
                 trials=args.trials, seed=args.seed, m=params.m,
                 write_len=args.l,
             )
+            series = None
+        else:
+            result = simulate_strategy(args.strategy, params, args.trials, args.seed)
+            series = rates_for_strategy(args.strategy, params)
+        if args.json:
+            record = _simulate_record(
+                args, params, result, series, time.perf_counter() - started)
+            print(json.dumps(record), file=out)
+            continue
+        if series is None:
             print(f"b={b} strategy={args.strategy} trials={result.trials} "
                   f"rounds={result.rounds} seed={args.seed} (live allocator)", file=out)
             print(f"  attack:  {result.attack_rate:.6f} (±{result.ci95_attack:.6f})", file=out)
             print(f"  detect:  {result.detect_rate:.6f} (±{result.ci95_detect:.6f})", file=out)
             print(f"  neither: {result.neither_rate:.6f}", file=out)
             continue
-        result = simulate_strategy(args.strategy, params, args.trials, args.seed)
-        series = rates_for_strategy(args.strategy, params)
         print(f"b={b} strategy={args.strategy} trials={result.trials} "
               f"rounds={result.rounds} seed={args.seed}", file=out)
         if result.undefined:
@@ -387,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=1, help="simulation seed (default 1)")
     p_sim.add_argument("--against-allocator", action="store_true",
                        help="drive the real allocator instead of the abstract game")
+    p_sim.add_argument("--json", action="store_true",
+                       help="print one JSON record per point instead of text")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="measure allocator throughput")

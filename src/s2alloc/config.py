@@ -64,7 +64,6 @@ class AllocatorConfig:
     guard_page_rate: float = 0.10
     heap_canary_len: int = 1
     page_size: int = PAGE_SIZE_DEFAULT
-    huge_threshold: int = 65536
     mac_key: Optional[bytes] = None
     seed: Optional[int] = None
     abort_on_tamper: bool = True

@@ -26,10 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as np
 
 MAX_ROUNDS = 10 ** 6
 
@@ -115,18 +112,11 @@ class OverlapRate(Fraction):
 
 def _enumerate_overlaps(b: int, l: int, c: int) -> int:
     """Count (write position, canary position) pairs whose byte ranges overlap."""
-    if _np is not None:
-        writes = _np.arange(b - l + 1, dtype=_np.int64)[:, None]
-        canaries = _np.arange(b - c + 1, dtype=_np.int64)[None, :]
-        return int(_np.count_nonzero(
-            (writes <= canaries + c - 1) & (canaries <= writes + l - 1)
-        ))
-    count = 0
-    for x in range(b - l + 1):
-        for f in range(b - c + 1):
-            if x <= f + c - 1 and f <= x + l - 1:
-                count += 1
-    return count
+    writes = np.arange(b - l + 1, dtype=np.int64)[:, None]
+    canaries = np.arange(b - c + 1, dtype=np.int64)[None, :]
+    return int(np.count_nonzero(
+        (writes <= canaries + c - 1) & (canaries <= writes + l - 1)
+    ))
 
 
 def fbc_overlap_D(b: int, l: int, c: int) -> OverlapRate:

@@ -1,11 +1,8 @@
-"""Page-granular memory reservation and protection behind a testable interface.
+"""Page-granular memory reservation and protection over a simulated address space.
 
-The allocator core talks to a `MemorySource`, so the whole stack can run
-against a simulated address space: regions are anonymous zero-filled buffers
-at synthetic base addresses, and page protection is enforced by the
-checked-access operations instead of hardware. A native backend (real mmap +
-mprotect) would implement the same interface; everything in this artifact
-runs on the simulated one.
+The allocator core runs on `SimulatedBacking`: regions are anonymous
+zero-filled buffers at synthetic base addresses, and page protection is
+enforced by the checked-access operations instead of hardware.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ import bisect
 import mmap
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Protocol
+from typing import Iterator, Optional
 
 
 class MemoryTrap(Exception):
@@ -31,17 +28,6 @@ class ContractViolation(ValueError):
 
 class MemoryExhausted(Exception):
     """The backing store could not satisfy a reservation."""
-
-
-class MemorySource(Protocol):
-    page_size: int
-
-    def reserve(self, length: int) -> int: ...
-    def release(self, base: int) -> None: ...
-    def protect(self, page: int) -> None: ...
-    def unprotect(self, page: int) -> None: ...
-    def read(self, address: int, length: int) -> bytes: ...
-    def write(self, address: int, data: bytes) -> None: ...
 
 
 @dataclass

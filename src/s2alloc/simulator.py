@@ -111,7 +111,8 @@ def simulate_strategy(
     if not fresh:
         B = rng.integers(0, r, size=trials, dtype=np.int32)
         g = rng.integers(0, n_o, size=trials, dtype=np.int32)
-    colored = np.zeros((trials, r), dtype=bool) if fresh else None
+    # Bit k of colored[t, j] marks slot 8*j + k of trial t as colored.
+    colored = np.zeros((trials, (r + 7) >> 3), dtype=np.uint8) if fresh else None
     n = trials
     rows = np.arange(n)
 
@@ -142,27 +143,28 @@ def simulate_strategy(
         coin = (x <= f + c - 1) & (f <= x + l - 1)
         u = rng.integers(0, r, size=n, dtype=np.int32)
         if fresh:
-            colored[rows[:n], Bk] |= coin & alive
+            colored[rows, Bk >> 3] |= (coin & alive).view(np.uint8) << (Bk & 7).astype(np.uint8)
             dk = np.zeros(n, dtype=bool)
             for off in range(-d, d + 1):
                 w = u + off
                 ok = (w >= 0) & (w < r)
-                dk |= ok & colored[rows[:n], np.clip(w, 0, r - 1)]
+                wc = np.clip(w, 0, r - 1)
+                dk |= ok & ((colored[rows, wc >> 3] >> (wc & 7)) & 1).astype(bool)
         else:
             dk = coin & (np.abs(u - B) <= d)
         dk &= alive
         det += int(dk.sum())
         alive &= ~dk
         if alive.mean() < 0.5 and alive.any():
+            # vb and vr are redrawn at the top of the next round, so only
+            # per-trial state that outlives a round is compacted.
             idx = np.flatnonzero(alive)
             n = len(idx)
-            vb = vb[:, idx].copy()
-            vr = vr[:, idx].copy()
             if fresh:
-                colored = colored[idx].copy()
+                colored = colored[idx]
             else:
-                B = B[idx].copy()
-                g = g[idx].copy()
+                B = B[idx]
+                g = g[idx]
             alive = np.ones(n, dtype=bool)
             rows = np.arange(n)
 

@@ -84,6 +84,15 @@ def test_batch_tags_match_single_tags():
         assert batch[i * 16:(i + 1) * 16] == mac.tag16(address)
 
 
+@pytest.mark.parametrize("backend", ["sw", "auto"])
+def test_batch_tags_backends_and_empty_batch(backend):
+    mac = KeyedCanary(derive_mac_key(7), backend=backend)
+    assert mac.batch_tags([]) == b""
+    addresses = [0, 0x1000, (1 << 64) - 16]
+    batch = mac.batch_tags(iter(addresses))
+    assert batch == b"".join(compute_canary(mac.key, a, 16) for a in addresses)
+
+
 def test_canary_is_tag_prefix():
     mac = KeyedCanary(derive_mac_key(5))
     address = 0xDEAD000

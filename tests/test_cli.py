@@ -1,4 +1,6 @@
-"""Command-line interface: CSV output, exit codes, selftest, bench."""
+"""Command-line interface: CSV output, JSON records, exit codes, selftest, bench."""
+
+import json
 
 import pytest
 
@@ -124,6 +126,41 @@ def test_simulate_against_allocator(capsys):
     assert "(live allocator)" in out
     assert "attack:" in out and "detect:" in out
     assert "series" not in out  # empirical only; no abstract-series columns
+
+
+def test_simulate_json_records(capsys):
+    code, out, _ = run(capsys, "simulate", "--strategy", "s2", "--b-range", "32:48:16",
+                       "--c", "8", "--rounds", "10", "--trials", "2000", "--seed", "3",
+                       "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["params"]["b"] for r in records] == [32, 48]
+    first = records[0]
+    assert first["strategy"] == "s2" and first["trials"] == 2000 and first["seed"] == 3
+    assert first["params"]["rounds"] == 10 and first["params"]["r"] == 256
+    assert first["attack_rate"] == 0.019  # the text output's figure
+    total = first["attack_rate"] + first["detect_rate"] + first["neither_rate"]
+    assert abs(total - 1.0) < 1e-12
+    assert first["attack_ci95"] > 0 and first["detect_ci95"] > 0
+    assert 0 < first["series_final_attack"] < 1 and 0 < first["series_final_detect"] < 1
+    assert first["elapsed_s"] > 0 and first["peak_rss_mb"] > 1
+
+    code, out, _ = run(capsys, "simulate", "--strategy", "s1", "--b", "16",
+                       "--rounds", "3", "--trials", "0", "--seed", "1", "--json")
+    assert code == 0
+    empty = json.loads(out)
+    assert empty["attack_rate"] is None and empty["detect_rate"] is None
+
+
+def test_simulate_json_against_allocator(capsys):
+    code, out, _ = run(capsys, "simulate", "--strategy", "s1", "--b", "16",
+                       "--rounds", "3", "--trials", "200", "--seed", "5",
+                       "--against-allocator", "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["against_allocator"] is True
+    assert record["series_final_attack"] is None
+    assert 0 <= record["detect_rate"] <= 1
 
 
 def test_simulate_rejects_bad_trials(capsys):

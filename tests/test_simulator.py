@@ -1,14 +1,17 @@
 """Monte Carlo engine: frozen streams, statistical agreement, live-heap harness."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from s2alloc.config import config_from_env
 from s2alloc.model import ModelParams, attack_rate_A, fbc_overlap_D, s1_rates, s2_rates
 from s2alloc.simulator import (
     GridPoint,
+    _draw_victims,
     evaluate_point,
     format_grid_report,
     rounds_to_reach_detection,
@@ -41,6 +44,101 @@ def test_frozen_streams(strategy, params, trials, seed, attack, detect):
     res = simulate_strategy(strategy, ModelParams(**params), trials=trials, seed=seed)
     assert res.attack_rate == attack
     assert res.detect_rate == detect
+
+
+def dense_s2_reference(params, trials, seed):
+    """The fresh-reference game with one bool per (trial, slot), as first written.
+
+    Draws what simulate_strategy("s2", ...) draws, in the same order, and
+    returns the attack and detect counts.
+    """
+    r, b, s, l, c, d, m = (
+        params.r, params.b, params.s, params.l, params.c, params.d, params.m,
+    )
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n_o = 1 + (b - s) // 16
+    att = det = 0
+    alive = np.ones(trials, dtype=bool)
+    vb, vr = _draw_victims(rng, m, r, n_o, trials)
+    colored = np.zeros((trials, r), dtype=bool)
+    n = trials
+    rows = np.arange(n)
+    compactions = 0
+
+    def attack_draw(Bk, gk):
+        a = np.zeros(n, dtype=bool)
+        for j in range(m):
+            a |= (Bk == vb[j]) & (gk == vr[j])
+        return a
+
+    for k in range(1, params.rounds + 1):
+        if not alive.any():
+            break
+        if k == 1:
+            B0 = rng.integers(0, r, size=n, dtype=np.int32)
+            g0 = rng.integers(0, n_o, size=n, dtype=np.int32)
+            a0 = attack_draw(B0, g0) & alive
+            att += int(a0.sum())
+            alive &= ~a0
+        vb, vr = _draw_victims(rng, m, r, n_o, n)
+        Bk = rng.integers(0, r, size=n, dtype=np.int32)
+        gk = rng.integers(0, n_o, size=n, dtype=np.int32)
+        ak = attack_draw(Bk, gk) & alive
+        att += int(ak.sum())
+        alive &= ~ak
+        x = rng.integers(0, b - l + 1, size=n, dtype=np.int32)
+        f = rng.integers(0, b - c + 1, size=n, dtype=np.int32)
+        coin = (x <= f + c - 1) & (f <= x + l - 1)
+        u = rng.integers(0, r, size=n, dtype=np.int32)
+        colored[rows, Bk] |= coin & alive
+        dk = np.zeros(n, dtype=bool)
+        for off in range(-d, d + 1):
+            w = u + off
+            ok = (w >= 0) & (w < r)
+            dk |= ok & colored[rows, np.clip(w, 0, r - 1)]
+        dk &= alive
+        det += int(dk.sum())
+        alive &= ~dk
+        if alive.mean() < 0.5 and alive.any():
+            idx = np.flatnonzero(alive)
+            n = len(idx)
+            colored = colored[idx]
+            alive = np.ones(n, dtype=bool)
+            rows = np.arange(n)
+            compactions += 1
+    return att, det, compactions
+
+
+PACKED_CASES = [
+    (dict(r=7, b=32, s=16, l=4, c=8, d=1, m=1, rounds=40), 3000, 1),
+    (dict(r=61, b=64, s=16, l=4, c=8, d=2, m=1, rounds=80), 3000, 2),
+    (dict(r=61, b=16, s=16, l=2, c=4, d=0, m=4, rounds=60), 3000, 3),
+    (dict(r=7, b=32, s=16, l=4, c=8, d=9, m=1, rounds=30), 2000, 4),
+    (dict(r=256, b=32, s=16, l=4, c=2, d=2, m=4, rounds=200), 4000, 5),
+    (dict(r=1000, b=48, s=16, l=4, c=8, d=3, m=2, rounds=150), 2000, 6),
+]
+
+
+@pytest.mark.parametrize("params,trials,seed", PACKED_CASES)
+def test_packed_colored_matches_dense_reference(params, trials, seed):
+    p = ModelParams(**params)
+    att, det, compactions = dense_s2_reference(p, trials, seed)
+    assert compactions >= 1
+    res = simulate_strategy("s2", p, trials=trials, seed=seed)
+    assert res.attack_rate == att / trials
+    assert res.detect_rate == det / trials
+
+
+def test_s2_colored_matrix_memory_gate():
+    # One criterion-04 point at 2e4 trials: a dense bool matrix alone is 39 MiB.
+    p = ModelParams(r=2048, b=64, s=16, l=4, c=8, d=2, m=1, rounds=70)
+    tracemalloc.start()
+    try:
+        simulate_strategy("s2", p, trials=20_000, seed=20260814)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_same_seed_identical_different_seed_not():
