@@ -54,7 +54,9 @@ class AllocatorConfig:
     fbc_len:         keyed canary length (bytes) planted in freed page-or-larger slots.
     rio_fraction:    fraction of each slot reserved for randomized placement.
     guard_page_rate: probability a new sub-bag protects one of its pages.
-    heap_canary_len: keyed canary length (bytes) placed after live object data.
+    heap_canary_len: keyed canary length (bytes) placed after live object data,
+                     or before it when the object ends at its slot's end; at
+                     most the smallest class's placement reserve (4 at 1/4).
     """
 
     entropy_bits: int = 8
@@ -82,6 +84,15 @@ class AllocatorConfig:
             raise ConfigError(f"guard_page_rate must be in [0, 1], got {self.guard_page_rate}")
         if self.heap_canary_len < 1 or self.heap_canary_len > 16:
             raise ConfigError(f"heap_canary_len must be in [1, 16], got {self.heap_canary_len}")
+        smallest = min(self.size_classes)
+        reserve = smallest - self.usable(smallest)
+        if self.heap_canary_len > reserve:
+            # An object at placement 0 that fills the smallest class's usable
+            # bytes would leave room for the canary on neither side.
+            raise ConfigError(
+                f"heap_canary_len {self.heap_canary_len} exceeds the {reserve}-byte "
+                f"placement reserve of the smallest size class ({smallest} bytes)"
+            )
         if self.page_size < 16 or self.page_size & (self.page_size - 1):
             raise ConfigError(f"page_size must be a power of two >= 16, got {self.page_size}")
         if self.mac_key is not None and len(self.mac_key) != 16:

@@ -6,8 +6,9 @@ slot holds at most one live object. Security mechanisms:
 
   - placement randomization: an object starts at a random 16-aligned offset
     inside its slot, so a stale reference cannot predict field addresses;
-  - heap canary: keyed MAC bytes just past the object's data, checked at free
-    (catches contiguous overflow);
+  - heap canary: keyed MAC bytes just past the object's data, or just before
+    it when the object ends at the slot's end, checked at free (catches
+    contiguous overflow);
   - free-block canaries: freed small slots are fully zeroed (any nonzero byte
     witnesses an illegal write); freed page-or-larger slots carry keyed MAC
     bytes at a random recorded position;
@@ -46,6 +47,17 @@ _ENSURE_CAP = 10_000
 # (bytes are immutable): class-sized ones to clear and check free small slots,
 # window-sized ones for the patrol's all-free screen.
 _ZEROS: dict[int, bytes] = {}
+
+
+def heap_canary_offset(p: int, req: int, b: int, iota: int) -> int:
+    """Slot offset of the iota heap-canary bytes of a req-byte object at placement p.
+
+    The canary goes right after the object. When that would run past the
+    slot's end it goes right before the object instead: p >= 16 >= iota then,
+    because AllocatorConfig keeps iota within every class's placement reserve.
+    """
+    end = p + req
+    return end if end + iota <= b else p - iota
 
 
 def zero_bytes(n: int) -> bytes:
@@ -403,9 +415,9 @@ class ThreadHeap:
 
     def malloc(self, size: int) -> int:
         with self._lock:
-            return self._malloc_locked(size, avoid_canary_clamp=False)
+            return self._malloc_locked(size)
 
-    def _malloc_locked(self, size: int, avoid_canary_clamp: bool) -> int:
+    def _malloc_locked(self, size: int) -> int:
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
         req = size if size > 0 else 1
@@ -428,18 +440,11 @@ class ThreadHeap:
         bag.index_remove(gid)
         b = bag.b
         iota = self._iota
-        placements = 1 + ((b - req) >> 4)
-        if avoid_canary_clamp:
-            safe = 1 + (b - req - iota >> 4) if b - req >= iota else 0
-            if 0 < safe <= placements:
-                placements = safe
-        p = rng.uniform_below(placements) << 4
+        p = rng.uniform_below(1 + ((b - req) >> 4)) << 4
         sb = bag.subbags[gid >> 8]
         slot = gid & 255
         start = sb.off + slot * b
-        cpos = p + req
-        if cpos + iota > b:
-            cpos = b - iota
+        cpos = heap_canary_offset(p, req, b, iota)
         if iota == 1:
             sb.buf[start + cpos] = sb.hc[slot]
         else:
@@ -508,10 +513,7 @@ class ThreadHeap:
             )
 
         iota = self._iota
-        req = bag.req[gid]
-        cpos = p_found + req
-        if cpos + iota > b:
-            cpos = b - iota
+        cpos = heap_canary_offset(p_found, bag.req[gid], b, iota)
         start = sb.off + slot * b
         if iota == 1:
             intact = sb.buf[start + cpos] == sb.hc[slot]
@@ -548,7 +550,7 @@ class ThreadHeap:
         if total >= (1 << 64):
             return 0
         with self._lock:
-            address = self._malloc_locked(total, avoid_canary_clamp=True)
+            address = self._malloc_locked(total)
             if address == 0:
                 return 0
             cls = self._class_of(address)
@@ -590,19 +592,17 @@ class ThreadHeap:
                 return 0
             old_req = bag.req[gid]
             p = bag.offset[gid]
-            iota = self.cfg.heap_canary_len
+            iota = self._iota
             if self._class_for_req(new_size) == b and p + new_size <= b:
                 start = sb.off + slot * b
-                cpos = p + new_size
-                if cpos + iota > b:
-                    cpos = b - iota
+                cpos = heap_canary_offset(p, new_size, b, iota)
                 sb.buf[start + cpos:start + cpos + iota] = sb.hc[slot * iota:(slot + 1) * iota]
                 bag.req[gid] = new_size
                 return address
             return self._realloc_move(address, old_req, new_size)
 
     def _realloc_move(self, address: int, old_req: int, new_size: int) -> int:
-        new_address = self._malloc_locked(new_size, avoid_canary_clamp=False)
+        new_address = self._malloc_locked(new_size)
         if new_address == 0:
             return 0
         keep = min(old_req, new_size)

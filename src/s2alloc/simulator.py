@@ -145,11 +145,11 @@ def simulate_strategy(
         if fresh:
             colored[rows, Bk >> 3] |= (coin & alive).view(np.uint8) << (Bk & 7).astype(np.uint8)
             dk = np.zeros(n, dtype=bool)
+            # A window offset past either end reads slot 0 or r - 1 instead,
+            # which another offset of the same window reads anyway.
             for off in range(-d, d + 1):
-                w = u + off
-                ok = (w >= 0) & (w < r)
-                wc = np.clip(w, 0, r - 1)
-                dk |= ok & ((colored[rows, wc >> 3] >> (wc & 7)) & 1).astype(bool)
+                w = np.clip(u + off, 0, r - 1)
+                dk |= ((colored[rows, w >> 3] >> (w & 7)) & 1).astype(bool)
         else:
             dk = coin & (np.abs(u - B) <= d)
         dk &= alive

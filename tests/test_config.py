@@ -133,6 +133,20 @@ def test_constructor_validation(field, value):
         dataclasses.replace(AllocatorConfig(), **{field: value})
 
 
+@pytest.mark.parametrize("rio,classes,largest_canary", [
+    (Fraction(1, 4), None, 4),       # class 16 keeps 4 bytes for placement
+    (Fraction(1, 2), None, 8),
+    (Fraction(1, 16), None, 1),
+    (Fraction(1, 4), (64, 128), 16),
+])
+def test_heap_canary_fits_in_the_smallest_placement_reserve(rio, classes, largest_canary):
+    base = AllocatorConfig(rio_fraction=rio, **({"size_classes": classes} if classes else {}))
+    assert dataclasses.replace(base, heap_canary_len=largest_canary).heap_canary_len == largest_canary
+    if largest_canary < 16:
+        with pytest.raises(ConfigError, match="placement reserve"):
+            dataclasses.replace(base, heap_canary_len=largest_canary + 1)
+
+
 def test_config_is_frozen():
     cfg = AllocatorConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -17,6 +17,7 @@ from s2alloc.core import (
     HeapCorruptionError,
     PagePool,
     ThreadHeap,
+    heap_canary_offset,
 )
 from s2alloc.os_mem import SimulatedBacking
 
@@ -170,6 +171,92 @@ def test_write_within_request_is_clean():
     address = heap.malloc(24)
     heap.backing.write(address, b"B" * 24)
     heap.free(address)  # no detection
+    assert heap.reports == []
+
+
+class _ForcedPlacement:
+    """A heap's random stream with the placement draw fixed to index k.
+
+    The placement draw is the one whose bound is the class's placement count;
+    the heaps below keep the free-slot bound (at least r) above every
+    placement count, and draw no guard page.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.placements = self.k = None
+
+    def uniform_below(self, n):
+        if n == self.placements:
+            return self.k
+        return self.rng.uniform_below(n)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+# Every small class, and two page-sized ones.
+CANARY_CLASSES = [b for b in config_from_env(env={}).size_classes if b < 4096] + [4096, 8192]
+
+
+def _canary_cases(heap):
+    """Yield (class, req, p, object address, canary slot offset) with the
+    object allocated, for every class in CANARY_CLASSES, every request that
+    lands in it and every placement."""
+    cfg = heap.cfg
+    forced = heap.rng = _ForcedPlacement(heap.rng)
+    for b in CANARY_CLASSES:
+        below = max((c for c in cfg.size_classes if c < b), default=0)
+        for req in range(cfg.usable(below) + 1 if below else 1, cfg.usable(b) + 1):
+            forced.placements = 1 + (b - req) // 16
+            for k in range(forced.placements):
+                forced.k = k
+                address = heap.malloc(req)
+                yield b, req, 16 * k, address, heap_canary_offset(16 * k, req, b, 1)
+
+
+def test_full_write_never_trips_the_heap_canary():
+    """Writing exactly the requested bytes and freeing gives no report,
+    wherever the canary had to go."""
+    heap = make_heap(abort_on_tamper=False)
+    before = 0
+    write, free, resolve = heap.backing.write, heap.free, heap.resolve
+    for b, req, p, address, cpos in _canary_cases(heap):
+        _, sb, slot = resolve(address)
+        assert sb.bag.b == b and address == sb.base + slot * b + p
+        before += cpos < p
+        write(address, b"\xA5" * req)
+        free(address)
+    assert heap.reports == []
+    assert before > 0  # the canary went before the object in some cases
+
+
+def test_tampered_heap_canary_is_reported_at_its_offset():
+    heap = make_heap(abort_on_tamper=False)
+    backing = heap.backing
+    with contextlib.redirect_stderr(io.StringIO()):
+        for b, req, p, address, cpos in _canary_cases(heap):
+            backing.write(address, b"\xA5" * req)
+            canary = backing.raw_read(address - p + cpos, 1)
+            backing.raw_write(address - p + cpos, bytes([canary[0] ^ 0x5A]))
+            heap.free(address)
+            report = heap.reports.pop()
+            assert report.kind is DetectionKind.HEAP_CANARY_TAMPER
+            assert report.detail == f"heap canary at slot offset {cpos} modified before free"
+            assert report.expected == canary
+            assert heap.reports == []
+
+
+def test_realloc_in_place_moves_the_canary_by_the_same_rule():
+    heap = make_heap(abort_on_tamper=False)
+    heap.rng = forced = _ForcedPlacement(heap.rng)
+    forced.placements, forced.k = 2, 1
+    address = heap.malloc(16)  # class 32, placement 16: no room after, canary at 15
+    assert heap.realloc(address, 13) == address  # room after again: canary at 29
+    heap.backing.write(address, b"\x11" * 13)
+    assert heap.realloc(address, 16) == address  # back before the object, at 15
+    heap.backing.write(address, b"\x22" * 16)
+    heap.free(address)
     assert heap.reports == []
 
 
@@ -407,11 +494,11 @@ def test_calloc_reused_slots_come_back_zero():
 
 
 def test_calloc_keeps_canary_out_of_user_range():
-    # For 16-multiples the canary byte can normally clamp into the last user
-    # byte; calloc must pick a placement where it does not.
+    # At placement 16 a 32-byte object ends at the slot's end, so its canary
+    # goes before it; filling every user byte must leave the canary intact.
     heap = make_heap()
     for _ in range(300):
-        address = heap.calloc(1, 32)  # class 48, placements 0/16: only 0 is safe
+        address = heap.calloc(1, 32)  # class 48, placements 0/16
         assert heap.backing.read(address, 32) == bytes(32)
         heap.backing.write(address, b"\x55" * 32)  # fill every user byte
         heap.free(address)  # canary must be intact
