@@ -6,8 +6,8 @@ Public surface:
     placement randomization, guard-page rate) with environment overrides;
   - ThreadHeap: the allocator itself (malloc/calloc/realloc/free plus canary
     checks and detection reporting);
-  - ModelParams, s1_rates, s2_rates, rates_for_strategy, attack_rate_A,
-    fbc_overlap_D: closed-form attack/detection rate series;
+  - ModelParams, s1_rates, s2_rates, s2_chain_rates, rates_for_strategy,
+    attack_rate_A, fbc_overlap_D: attack/detection rate series;
   - simulate_strategy, simulate_allocator_attack: Monte Carlo of the same game,
     abstract or against a live heap;
   - cli.main: the `s2alloc` command-line entry point.
@@ -42,6 +42,7 @@ from .model import (
     fbc_overlap_D,
     rates_for_strategy,
     s1_rates,
+    s2_chain_rates,
     s2_rates,
 )
 from .os_mem import (
@@ -91,6 +92,7 @@ __all__ = [
     "fbc_overlap_D",
     "rates_for_strategy",
     "s1_rates",
+    "s2_chain_rates",
     "s2_rates",
     "ContractViolation",
     "MemoryExhausted",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import json
 import resource
@@ -41,7 +42,7 @@ from .model import (
     rates_for_strategy,
 )
 from .rng import PcgState
-from .simulator import simulate_allocator_attack, simulate_strategy
+from .simulator import reference_rates, simulate_allocator_attack, simulate_strategy
 
 _STRATEGIES = ("s1", "s2", "s1-spray", "s2-spray")
 
@@ -90,23 +91,23 @@ def _params_for(args, b: int) -> ModelParams:
     )
 
 
-def _validate_points(args, b_values: list[int]) -> None:
+def _validate_points(args, b_values: list[int], rates) -> None:
     # Probe every point with a zero-round series so parameter errors surface
-    # before any CSV output is written.
+    # before any output is written.
     for b in b_values:
-        probe = dataclasses.replace(_params_for(args, b), rounds=0)
-        rates_for_strategy(args.strategy, probe)
+        rates(dataclasses.replace(_params_for(args, b), rounds=0))
 
 
 def cmd_analyze(args, out) -> int:
     b_values = _parse_b_values(args)
-    _validate_points(args, b_values)
+    rates = functools.partial(rates_for_strategy, args.strategy)  # the paper's series
+    _validate_points(args, b_values, rates)
     sweep = len(b_values) > 1
     print("round,p_e,p_attack,p_detect", file=out)
     for b in b_values:
         if sweep:
             print(f"# b={b}", file=out)
-        series = rates_for_strategy(args.strategy, _params_for(args, b))
+        series = rates(_params_for(args, b))
         for i, pe, pa, pd in series.rows():
             print(f"{i},{pe:.10g},{pa:.10g},{pd:.10g}", file=out)
         for warning in series.warnings:
@@ -114,8 +115,9 @@ def cmd_analyze(args, out) -> int:
     return 0
 
 
-def _simulate_record(args, params: ModelParams, result, series, elapsed: float) -> dict:
-    """One JSON-ready record of a simulated point: inputs, rates, cost."""
+def _simulate_record(args, params: ModelParams, result, rates, series,
+                     elapsed: float) -> dict:
+    """One JSON-ready record of a simulated point: inputs, rates, series, cost."""
     def rate(value):
         return None if result.trials == 0 else value  # undefined without trials
 
@@ -130,6 +132,7 @@ def _simulate_record(args, params: ModelParams, result, series, elapsed: float) 
         "detect_rate": rate(result.detect_rate),
         "detect_ci95": rate(result.ci95_detect),
         "neither_rate": rate(result.neither_rate),
+        "series": None if series is None else rates.__name__,
         "series_final_attack": None if series is None else series.final_attack,
         "series_final_detect": None if series is None else series.final_detect,
         "elapsed_s": elapsed,
@@ -140,7 +143,8 @@ def _simulate_record(args, params: ModelParams, result, series, elapsed: float) 
 
 def cmd_simulate(args, out) -> int:
     b_values = _parse_b_values(args)
-    _validate_points(args, b_values)
+    rates = reference_rates(args.strategy)
+    _validate_points(args, b_values, rates)
     status = 0
     for b in b_values:
         params = _params_for(args, b)
@@ -154,10 +158,10 @@ def cmd_simulate(args, out) -> int:
             series = None
         else:
             result = simulate_strategy(args.strategy, params, args.trials, args.seed)
-            series = rates_for_strategy(args.strategy, params)
+            series = rates(params)
         if args.json:
             record = _simulate_record(
-                args, params, result, series, time.perf_counter() - started)
+                args, params, result, rates, series, time.perf_counter() - started)
             print(json.dumps(record), file=out)
             continue
         if series is None:

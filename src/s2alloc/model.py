@@ -12,16 +12,18 @@ Per-write quantities:
                    canary within a slot of b bytes.
 
 Round series (one allocation + one attacker write per round):
-  s1_rates — the attacker reuses one stale reference every round.
-  s2_rates — the attacker mints a fresh stale reference every round; canary
-             corruption accumulates across rounds (a corrupted slot never
-             heals until detection ends the game).
+  s1_rates       — the attacker reuses one stale reference every round.
+  s2_rates       — the paper's series for an attacker who mints a fresh stale
+                   reference every round; canary corruption accumulates (a
+                   corrupted slot never heals until detection ends the game).
+  s2_chain_rates — the same game as a chain over the corrupted-slot count; the
+                   fresh-reference simulation is scored against it.
 Spray variants are the same recurrences with m > 1 live victims.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -83,20 +85,25 @@ class ModelParams:
     @property
     def placements(self) -> int:
         """Number of 16-aligned in-slot placements for the victim object."""
-        return 1 + (self.b - self.s) // 16
+        return placement_count(self.b, self.s)
+
+
+def placement_count(b: int, s: int) -> int:
+    """Number of 16-aligned offsets at which an s-byte object fits a b-byte slot."""
+    return 1 + (b - s) // 16
 
 
 def attack_rate_A(r: int, b: int, s: int) -> Fraction:
     """Per-write probability of hitting the victim's field exactly.
 
     The write must name the victim's slot (1/r) and its in-slot placement
-    (one of 1 + floor((b-s)/16) values).
+    (one of `placement_count(b, s)` values).
     """
     if r < 1:
         raise ModelDomainError(f"r must be >= 1, got {r}")
     if b < s:
         raise ModelDomainError(f"b must be >= s, got b={b} s={s}")
-    return Fraction(1, r * (1 + (b - s) // 16))
+    return Fraction(1, r * placement_count(b, s))
 
 
 class OverlapRate(Fraction):
@@ -205,10 +212,35 @@ def _resolve_rates(
     return a, dd
 
 
-def _finish(series: RateSeries) -> RateSeries:
+def _attack_mass(p: ModelParams, a: float) -> tuple[float, tuple[str, ...]]:
+    """Per-round attack probability m*A, clamped to 1 with a warning."""
+    return (1.0, (WARN_ATTACK_PROB_CLAMPED,)) if p.m * a > 1.0 else (p.m * a, ())
+
+
+def _series(strategy: str, p: ModelParams, m_attack: float,
+            warnings: tuple[str, ...], steps) -> RateSeries:
+    """Collect (survive, attack, detect) rows, one per round, into a RateSeries."""
+    series = RateSeries(strategy if p.m == 1 else strategy + "-spray", p,
+                        warnings=warnings, leading_attack=m_attack)
+    for survive, attack, detect in steps:
+        series.p_e.append(survive)
+        series.p_attack.append(attack)
+        series.p_detect.append(detect)
     if series.p_attack and series.p_attack[-1] + series.p_detect[-1] > 1.0:
         series.warnings += (WARN_COMBINED_EXCEEDS_ONE,)
     return series
+
+
+def _fold(m_attack: float, round_detects):
+    """Rows of the paper's recurrence, which applies a round's detection to
+    the mass entering the round."""
+    survive = 1.0 - m_attack  # mass entering round 1
+    att = _KahanSum(m_attack)
+    det = _KahanSum()
+    for round_detect in round_detects:
+        yield (survive, min(1.0, att.add(survive * m_attack)),
+               min(1.0, det.add(survive * round_detect)))
+        survive *= (1.0 - round_detect) * (1.0 - m_attack)
 
 
 def s1_rates(
@@ -223,88 +255,110 @@ def s1_rates(
     from the parameters.
     """
     a, dd = _resolve_rates(p, A, D)
-    warnings: tuple[str, ...] = ()
-    m_attack = p.m * a
-    if m_attack > 1.0:
-        m_attack = 1.0
-        warnings += (WARN_ATTACK_PROB_CLAMPED,)
+    m_attack, warnings = _attack_mass(p, a)
     if 2 * p.d + 1 > p.r:
         warnings += (WARN_WINDOW_EXCEEDS_SLOTS,)
     round_detect = min(1.0, (2 * p.d + 1) / p.r * dd)
-
-    series = RateSeries("s1" if p.m == 1 else "s1-spray", p, warnings=warnings,
-                        leading_attack=m_attack)
-    survive = 1.0 - m_attack  # mass entering round 1
-    att = _KahanSum(m_attack)
-    det = _KahanSum()
-    for _ in range(p.rounds):
-        series.p_e.append(survive)
-        series.p_attack.append(min(1.0, att.add(survive * m_attack)))
-        series.p_detect.append(min(1.0, det.add(survive * round_detect)))
-        survive *= (1.0 - round_detect) * (1.0 - m_attack)
-    return _finish(series)
+    return _series("s1", p, m_attack, warnings,
+                   _fold(m_attack, itertools.repeat(round_detect, p.rounds)))
 
 
 def s2_rates(
-    p: ModelParams,
-    A: Optional[float] = None,
-    D: Optional[float] = None,
-    extra_window_factor: bool = True,
+    p: ModelParams, A: Optional[float] = None, D: Optional[float] = None
 ) -> RateSeries:
-    """Round series for the fresh-reference attacker.
+    """Round series for the fresh-reference attacker, as the paper gives it.
 
     Corruption accumulates: after i rounds each slot has escaped corruption
     with probability Q_i = ((r-D)/r)**i, and the defender's (2d+1)-slot window
     detects unless every windowed slot is clean. The windowed miss probability
-    is a product of (Q_i*r - j)/(r - j) factors for j = 0..2d; by default it
-    additionally carries a leading factor of the same shape with j = 2d
-    (`extra_window_factor=True`). The single-factor variant is provided
-    because the duplicated leading factor is the one term where this series
-    and the exact sticky-corruption process disagree; the Monte Carlo
-    comparison report quantifies that gap.
+    is a leading (Q_i*r - 2d)/(r - 2d) factor times a product of
+    (Q_i*r - j)/(r - j) factors for j = 0..2d. Putting the expected number of
+    corrupted slots into that product overstates detection; `s2_chain_rates`
+    follows the number itself.
 
     Negative factors (possible once Q_i*r drops below 2d) clamp to zero.
     """
     if p.r <= 2 * p.d:
         raise ModelDomainError(f"r must exceed 2d, got r={p.r} d={p.d}")
     a, dd = _resolve_rates(p, A, D)
-    warnings: tuple[str, ...] = ()
-    m_attack = p.m * a
-    if m_attack > 1.0:
-        m_attack = 1.0
-        warnings += (WARN_ATTACK_PROB_CLAMPED,)
-
-    series = RateSeries("s2" if p.m == 1 else "s2-spray", p, warnings=warnings,
-                        leading_attack=m_attack)
+    m_attack, warnings = _attack_mass(p, a)
     r, d = p.r, p.d
     escape_base = (r - dd) / r
-    survive = 1.0 - m_attack  # mass entering round 1
+
+    def round_detects():
+        for i in range(1, p.rounds + 1):
+            q_i = escape_base ** i
+            miss = max(0.0, (q_i * r - 2 * d)) / (r - 2 * d)
+            for j in range(2 * d + 1):
+                miss *= max(0.0, (q_i * r - j)) / (r - j)
+            yield min(1.0, max(0.0, 1.0 - miss))
+
+    return _series("s2", p, m_attack, warnings, _fold(m_attack, round_detects()))
+
+
+def s2_chain_steps(p: ModelParams):
+    """Yield each round's (survive, attack, detect) row of `s2_chain_rates`."""
+    m_attack, _ = _attack_mass(p, float(attack_rate_A(p.r, p.b, p.s)))
+    r, d = p.r, p.d
+    n_max = min(r, p.rounds)
+    # P(miss | N) = (1/r) sum_u C(r - w_u, N) / C(r, N), where the window at u
+    # reads w_u slots, clamped as in the simulator; over N the ratio is a
+    # running product of (r - w - N) / (r - N).
+    u = np.arange(r)
+    widths, counts = np.unique(
+        np.minimum(u + d, r - 1) - np.maximum(u - d, 0) + 1, return_counts=True)
+    n = np.arange(n_max, dtype=np.float64)
+    miss = np.zeros(n_max + 1)
+    for w, count in zip(widths.tolist(), counts.tolist()):
+        miss += count * np.append(1.0, np.cumprod(np.maximum(r - w - n, 0.0) / (r - n)))
+    miss /= r
+    hit = 1.0 - miss
+    color = float(fbc_overlap_D(p.b, p.l, p.c)) * (r - np.arange(n_max + 1)) / r
+    mass = np.zeros(n_max + 1)  # undecided mass by colored count N
+    mass[0] = 1.0 - m_attack
     att = _KahanSum(m_attack)
     det = _KahanSum()
-    for i in range(1, p.rounds + 1):
-        q_i = escape_base ** i
-        miss = max(0.0, (q_i * r - 2 * d)) / (r - 2 * d) if extra_window_factor else 1.0
-        for j in range(2 * d + 1):
-            miss *= max(0.0, (q_i * r - j)) / (r - j)
-        round_detect = min(1.0, max(0.0, 1.0 - miss))
-        series.p_e.append(survive)
-        series.p_attack.append(min(1.0, att.add(survive * m_attack)))
-        series.p_detect.append(min(1.0, det.add(survive * round_detect)))
-        survive *= (1.0 - round_detect) * (1.0 - m_attack)
-    return _finish(series)
+    for k in range(1, p.rounds + 1):
+        x = mass[:min(k, n_max) + 1]  # N <= k once round k has colored
+        survive = float(x.sum())
+        attack = min(1.0, att.add(survive * m_attack))
+        x *= 1.0 - m_attack
+        moved = x * color[:len(x)]
+        x -= moved
+        x[1:] += moved[:-1]
+        detect = min(1.0, det.add(float(x @ hit[:len(x)])))
+        x *= miss[:len(x)]
+        yield survive, attack, detect
 
 
-def rates_for_strategy(
-    strategy: str,
-    p: ModelParams,
-    A: Optional[float] = None,
-    D: Optional[float] = None,
-    extra_window_factor: bool = True,
-) -> RateSeries:
-    """Dispatch by strategy name: s1, s2, s1-spray, s2-spray."""
-    name = strategy.lower().replace("_", "-")
-    if name in ("s1", "s1-spray"):
-        return s1_rates(p, A=A, D=D)
-    if name in ("s2", "s2-spray"):
-        return s2_rates(p, A=A, D=D, extra_window_factor=extra_window_factor)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def s2_chain_rates(p: ModelParams) -> RateSeries:
+    """Round series for the fresh-reference attacker: a chain over the colored count.
+
+    A colored slot holds a corrupted canary until the game ends. The chain
+    splits the undecided mass by the number N of colored slots; each round
+      1. the attack mass m*A leaves;
+      2. N -> N+1 with probability D*(r-N)/r;
+      3. detection takes 1 - P(miss | N), for the check window at a uniform
+         slot, clamped at the range's ends;
+      4. the missed mass carries forward.
+    P(miss | N) treats the colored set as a uniform N-subset. Trials that
+    survive favour clustered sets, which a window misses more often, so the
+    chain is not exact: at r=12, s=16, c=b=32, d=1 and 6 rounds it gives
+    detect 0.8589, where an exact chain over colored subsets gives 0.8571 and
+    10**6 simulated trials give 0.8564-0.8571.
+    """
+    m_attack, warnings = _attack_mass(p, float(attack_rate_A(p.r, p.b, p.s)))
+    return _series("s2", p, m_attack, warnings, s2_chain_steps(p))
+
+
+def strategy_base(strategy: str) -> str:
+    """The base game, s1 or s2, of a strategy name: s1, s2 or a -spray variant, any case."""
+    base = strategy.lower().replace("_", "-").removesuffix("-spray")
+    if base not in ("s1", "s2"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return base
+
+
+def rates_for_strategy(strategy: str, p: ModelParams) -> RateSeries:
+    """Dispatch by strategy name to the paper's series: s1, s2, s1-spray, s2-spray."""
+    return (s2_rates if strategy_base(strategy) == "s2" else s1_rates)(p)

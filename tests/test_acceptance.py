@@ -80,10 +80,9 @@ def test_criterion03_long_horizon_anchor_rates_within_bands():
 
 def test_criterion04_series_vs_simulation_grid_agreement():
     """16-point grid (b in {16,32,64,256} x {s1,s2} x m in {1,4}), 1e5 trials
-    per point at seed 20260814: every attack rate within 3 sigma of the
-    best-matching series variant; stale-fixed detection within 3 sigma;
-    fresh-reference detection within 3 sigma or attributed in the emitted
-    report. Total runtime under 10 minutes."""
+    per point at seed 20260814: every attack and detection rate within 3 sigma
+    of its series (s1_rates, or s2_chain_rates for s2). Total runtime under
+    10 minutes."""
     start = time.monotonic()
     points = []
     for b in (16, 32, 64, 256):
@@ -106,20 +105,12 @@ def test_criterion04_series_vs_simulation_grid_agreement():
     report_path = REPO_ROOT / "acceptance_grid_report.txt"
     report_path.write_text(report + "\n")
 
-    violations = []
-    needs_attribution = False
-    for pt in points:
-        z_att = pt.z_attack_alt if pt.z_attack_alt is not None else pt.z_attack
-        if abs(z_att) > 3.0:
-            violations.append(f"attack z {z_att:+.2f} at {pt.strategy} b={pt.params.b} m={pt.params.m}")
-        if pt.z_detect_alt is None:
-            if abs(pt.z_detect) > 3.0:
-                violations.append(f"detect z {pt.z_detect:+.2f} at {pt.strategy} b={pt.params.b} m={pt.params.m}")
-        elif min(abs(pt.z_detect), abs(pt.z_detect_alt)) > 3.0:
-            needs_attribution = True
-    if needs_attribution:
-        assert "Attribution of the fresh-reference deviations:" in report
-        assert "Detection." in report and "expected value" in report
+    violations = [
+        f"{name} z {z:+.2f} at {pt.strategy} b={pt.params.b} m={pt.params.m}"
+        for pt in points
+        for name, z in (("attack", pt.z_attack), ("detect", pt.z_detect))
+        if abs(z) > 3.0
+    ]
     assert violations == []
     assert elapsed < 600.0, f"grid took {elapsed:.0f}s"
     assert report_path.stat().st_size > 0

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from s2alloc.cli import main
+from s2alloc.model import ModelParams, s2_chain_rates
 
 
 def run(capsys, *argv):
@@ -106,6 +107,9 @@ def test_simulate_output_shape_and_determinism(capsys):
     assert out.splitlines()[0] == "b=32 strategy=s2 trials=2000 rounds=10 seed=3"
     assert "attack:  0.019000" in out
     assert "series" in out and "delta" in out and "neither" in out
+    chain = s2_chain_rates(ModelParams(r=256, b=32, s=16, l=4, c=8, d=2, rounds=10))
+    assert f"series {chain.final_attack:.6f}" in out
+    assert f"series {chain.final_detect:.6f}" in out
     code2, out2, _ = run(capsys, *args)
     assert code2 == 0 and out2 == out  # byte-identical rerun
 
@@ -142,7 +146,11 @@ def test_simulate_json_records(capsys):
     total = first["attack_rate"] + first["detect_rate"] + first["neither_rate"]
     assert abs(total - 1.0) < 1e-12
     assert first["attack_ci95"] > 0 and first["detect_ci95"] > 0
-    assert 0 < first["series_final_attack"] < 1 and 0 < first["series_final_detect"] < 1
+    for record in records:
+        chain = s2_chain_rates(ModelParams(**record["params"]))
+        assert record["series"] == "s2_chain_rates"
+        assert record["series_final_attack"] == chain.final_attack
+        assert record["series_final_detect"] == chain.final_detect
     assert first["elapsed_s"] > 0 and first["peak_rss_mb"] > 1
 
     code, out, _ = run(capsys, "simulate", "--strategy", "s1", "--b", "16",
@@ -150,6 +158,7 @@ def test_simulate_json_records(capsys):
     assert code == 0
     empty = json.loads(out)
     assert empty["attack_rate"] is None and empty["detect_rate"] is None
+    assert empty["series"] == "s1_rates"
 
 
 def test_simulate_json_against_allocator(capsys):
@@ -159,7 +168,7 @@ def test_simulate_json_against_allocator(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["against_allocator"] is True
-    assert record["series_final_attack"] is None
+    assert record["series"] is None and record["series_final_attack"] is None
     assert 0 <= record["detect_rate"] <= 1
 
 

@@ -17,6 +17,7 @@ from s2alloc.model import (
     fbc_overlap_D,
     rates_for_strategy,
     s1_rates,
+    s2_chain_rates,
     s2_rates,
 )
 
@@ -137,12 +138,31 @@ def test_fresh_reference_series_anchor():
     assert series.final_attack == pytest.approx(0.040839, abs=5e-6)
     assert series.final_detect == pytest.approx(0.961038, abs=5e-6)
     assert WARN_COMBINED_EXCEEDS_ONE in series.warnings
+    # Putting the expected colored count into the miss product overstates
+    # detection; the chain follows the count's distribution.
+    chain = s2_chain_rates(TABLE_POINT)
+    assert chain.final_detect < series.final_detect
+    assert chain.final_attack > series.final_attack
+    assert chain.warnings == ()
 
 
-def test_fresh_reference_series_single_window_factor():
-    series = s2_rates(TABLE_POINT, extra_window_factor=False)
-    assert series.final_attack == pytest.approx(0.044472, abs=5e-6)
-    assert series.final_detect == pytest.approx(0.957398, abs=5e-6)
+@pytest.mark.parametrize("r,d,m", [(1, 0, 1), (7, 6, 2), (7, 9, 1), (40, 39, 3)])
+def test_chain_with_window_spanning_every_slot_is_closed_form(r, d, m):
+    # Every window reads every slot, so the first colored slot is caught at
+    # once: with S = 1 - mA entering round 1, each round adds mA*S to attack
+    # and S*(1-mA)*D to detect, then S <- S*(1-mA)*(1-D).
+    p = ModelParams(r=r, b=32, s=16, l=4, c=8, d=d, m=m, rounds=60)
+    mA = m * float(attack_rate_A(r, 32, 16))
+    D = float(fbc_overlap_D(32, 4, 8))
+    survive, attack, detect = 1.0 - mA, mA, 0.0
+    series = s2_chain_rates(p)
+    for i in range(60):
+        attack += mA * survive
+        detect += survive * (1.0 - mA) * D
+        assert series.p_e[i] == pytest.approx(survive, abs=1e-12)
+        assert series.p_attack[i] == pytest.approx(attack, abs=1e-12)
+        assert series.p_detect[i] == pytest.approx(detect, abs=1e-12)
+        survive *= (1.0 - mA) * (1.0 - D)
 
 
 def test_series_first_round_mass():
@@ -154,7 +174,7 @@ def test_series_first_round_mass():
 
 def test_series_row_lengths_match_rounds():
     params = ModelParams(r=64, b=32, s=16, l=4, c=8, d=1, m=1, rounds=17)
-    for series in (s1_rates(params), s2_rates(params)):
+    for series in (s1_rates(params), s2_rates(params), s2_chain_rates(params)):
         assert len(series.p_e) == len(series.p_attack) == len(series.p_detect) == 17
         assert series.rounds == 17
         assert list(series.rows())[0][0] == 1
@@ -163,10 +183,10 @@ def test_series_row_lengths_match_rounds():
 
 def test_zero_rounds_series_is_empty():
     params = ModelParams(r=64, b=32, s=16, l=4, c=8, d=1, m=1, rounds=0)
-    series = s1_rates(params)
-    assert series.p_e == [] and series.final_attack == 0.0
-    assert series.final_detect == 0.0
-    assert series.leading_attack > 0.0  # the would-be first attempt, informational
+    for series in (s1_rates(params), s2_chain_rates(params)):
+        assert series.p_e == [] and series.final_attack == 0.0
+        assert series.final_detect == 0.0
+        assert series.leading_attack > 0.0  # the would-be first attempt, informational
 
 
 def test_spray_multiplies_per_round_attack():
@@ -202,9 +222,10 @@ def test_window_clamp_warning():
 
 
 def test_attack_clamp_warning():
-    series = s1_rates(ModelParams(r=1, b=16, s=16, l=4, c=8, d=0, m=3, rounds=2))
-    assert WARN_ATTACK_PROB_CLAMPED in series.warnings
-    assert series.final_attack <= 1.0
+    params = ModelParams(r=1, b=16, s=16, l=4, c=8, d=0, m=3, rounds=2)
+    for series in (s1_rates(params), s2_chain_rates(params)):
+        assert WARN_ATTACK_PROB_CLAMPED in series.warnings
+        assert series.final_attack <= 1.0
 
 
 def test_rounds_cap():
@@ -217,6 +238,8 @@ def test_strategy_dispatch():
     params = ModelParams(r=256, b=32, s=16, l=4, c=8, d=2, m=4, rounds=10)
     assert rates_for_strategy("s1", params).final_attack == s1_rates(params).final_attack
     assert rates_for_strategy("S2-SPRAY", params).final_detect == \
+        s2_rates(params).final_detect
+    assert rates_for_strategy("s2_spray", params).final_detect == \
         s2_rates(params).final_detect
     with pytest.raises(ValueError):
         rates_for_strategy("s3", params)
@@ -231,13 +254,17 @@ def test_strategy_dispatch():
     d=st.integers(0, 3),
     m=st.integers(1, 4),
     rounds=st.integers(0, 400),
-    strategy=st.sampled_from(["s1", "s2"]),
+    strategy=st.sampled_from(["s1", "s2", "chain"]),
 )
 def test_series_entries_are_probabilities(r, b, l, c, d, m, rounds, strategy):
     if strategy == "s2" and r <= 2 * d:
         return
     params = ModelParams(r=r, b=b, s=16, l=l, c=c, d=d, m=m, rounds=rounds)
-    series = rates_for_strategy(strategy, params)
+    if strategy == "chain":
+        series = s2_chain_rates(params)
+        assert series.final_attack + series.final_detect <= 1.0 + 1e-12
+    else:
+        series = rates_for_strategy(strategy, params)
     for name in ("p_e", "p_attack", "p_detect"):
         values = getattr(series, name)
         assert all(0.0 <= v <= 1.0 for v in values), name
