@@ -136,9 +136,13 @@ def _simulate_record(args, params: ModelParams, result, rates, series,
         "series_final_attack": None if series is None else series.final_attack,
         "series_final_detect": None if series is None else series.final_detect,
         "elapsed_s": elapsed,
-        # ru_maxrss is in KiB on Linux: the process's peak so far.
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": _peak_rss_mb(),
     }
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def cmd_simulate(args, out) -> int:
@@ -211,6 +215,7 @@ def cmd_bench(args, out) -> int:
         raise ConfigError("total bytes must cover at least one allocation")
     nthreads = max(args.threads, 1)
     for rep in range(args.reps):
+        started = time.perf_counter()
         backing = SimulatedBacking(page_size=cfg.page_size)
         pool = PagePool(backing)
         heaps = [ThreadHeap(cfg, backing=backing, pool=pool, stream_id=i)
@@ -237,9 +242,22 @@ def cmd_bench(args, out) -> int:
                 w.join()
         malloc_ns = sum(t[0] for t in times) / total_ops
         free_ns = sum(t[1] for t in times) / total_ops
-        print(f"rep={rep} size={args.size} ops={total_ops} threads={nthreads}", file=out)
-        print(f"  malloc: {malloc_ns:10.1f} ns/op", file=out)
-        print(f"  free:   {free_ns:10.1f} ns/op", file=out)
+        if args.json:
+            print(json.dumps({
+                "rep": rep,
+                "seed": args.seed,
+                "size": args.size,
+                "ops": total_ops,
+                "threads": nthreads,
+                "malloc_ns": malloc_ns,
+                "free_ns": free_ns,
+                "elapsed_s": time.perf_counter() - started,
+                "peak_rss_mb": _peak_rss_mb(),
+            }), file=out)
+        else:
+            print(f"rep={rep} size={args.size} ops={total_ops} threads={nthreads}", file=out)
+            print(f"  malloc: {malloc_ns:10.1f} ns/op", file=out)
+            print(f"  free:   {free_ns:10.1f} ns/op", file=out)
         # The heap/pool/backing graph is cyclic; collect now so the mapped
         # regions are returned to the OS before the next repetition rather
         # than whenever the cycle collector happens to run.
@@ -438,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--threads", type=int, default=1,
                          help="worker threads, each with its own heap (default 1)")
     p_bench.add_argument("--seed", type=int, default=1, help="allocator seed (default 1)")
+    p_bench.add_argument("--json", action="store_true",
+                         help="print one JSON record per repetition instead of text")
     p_bench.set_defaults(func=cmd_bench)
 
     p_self = sub.add_parser("selftest", help="run built-in correctness checks")

@@ -11,7 +11,11 @@ slot holds at most one live object. Security mechanisms:
     contiguous overflow);
   - free-block canaries: freed small slots are fully zeroed (any nonzero byte
     witnesses an illegal write); freed page-or-larger slots carry keyed MAC
-    bytes at a random recorded position;
+    bytes at a random recorded position, and only those bytes are checked.
+    Free hands every whole page of such a slot back to the OS (in units of
+    max(page_size, mmap.PAGESIZE)) except the page or pages the canary
+    touches, so a freed large object's stale bytes read as zero outside the
+    kept pages;
   - allocation-time patrol: every allocation verifies the free-block canaries
     of the chosen slot and its neighbors within the sub-bag;
   - guard pages: a new sub-bag randomly protects one of its pages, and slots
@@ -20,7 +24,6 @@ slot holds at most one live object. Security mechanisms:
 
 from __future__ import annotations
 
-import sys
 import threading
 from array import array
 from bisect import bisect_left, bisect_right, insort
@@ -169,6 +172,9 @@ class Bag:
         self.n_free = 0
         self.zeros = b""  # zero_bytes(class_size) once the class is in use
         self.small = class_size < heap.cfg.page_size
+        # Only a slot larger than the decommit granule can hold a whole
+        # granule apart from the one its canary touches.
+        self.decommits = class_size > heap.backing.decommit_granule
         self.subbag_bytes = class_size * SLOTS_PER_SUBBAG
         self.npages = self.subbag_bytes // heap.cfg.page_size
 
@@ -311,7 +317,11 @@ class ThreadHeap:
     ) -> DetectionReport:
         report = DetectionReport(kind, slot_address, class_size, expected, found, detail)
         self.reports.append(report)
-        print(report.line(), file=sys.stderr)
+        # Imported here, not at module level: detections are rare and the
+        # import would add to every process's start-up. With no handler
+        # configured, logging's last-resort handler writes the line to stderr.
+        import logging
+        logging.getLogger("s2alloc").warning("%s", report.line())
         if self.on_detection is not None:
             self.on_detection(report)
         if self.cfg.abort_on_tamper:
@@ -534,12 +544,31 @@ class ThreadHeap:
         else:
             c = self._c
             f = self.rng.uniform_below(b - c + 1)
+            if bag.decommits:
+                self._decommit_slot(sb, start, f)
             sb.buf[start + f:start + f + c] = sb.fbc[slot * c:(slot + 1) * c]
             bag.offset[gid] = f
             bag.taken[gid] = FREE_MAC
         bag.req[gid] = 0
         bag.index_add(gid)
         return None
+
+    def _decommit_slot(self, sb: SubBag, start: int, f: int) -> None:
+        """Return the whole granules of the slot at buffer offset start to the
+        OS, except the granule or granules its canary at slot offset f touches.
+
+        Granules are aligned in the region's buffer, as `decommit` requires.
+        """
+        g = self.backing.decommit_granule
+        lo = -(-start // g) * g
+        hi = (start + sb.bag.b) // g * g
+        keep_lo = (start + f) // g * g
+        keep_hi = -(-(start + f + self._c) // g) * g
+        to_address = sb.base - sb.off
+        if lo < keep_lo:
+            self.backing.decommit(to_address + lo, keep_lo - lo)
+        if keep_hi < hi:
+            self.backing.decommit(to_address + keep_hi, hi - keep_hi)
 
     # -- derived entry points --------------------------------------------------
 
@@ -556,7 +585,8 @@ class ThreadHeap:
             cls = self._class_of(address)
             if total and cls is not None and cls >= self.cfg.page_size:
                 # Small slots and fresh huge pages are already zero; recycled
-                # page-sized slots may hold stale data.
+                # page-sized slots keep stale data in the pages free left
+                # committed (the canary's).
                 self.backing.raw_write(address, bytes(total))
             return address
 

@@ -2,7 +2,8 @@
 
 The allocator core runs on `SimulatedBacking`: regions are anonymous
 zero-filled buffers at synthetic base addresses, and page protection is
-enforced by the checked-access operations instead of hardware.
+enforced by the checked-access operations instead of hardware. A range can
+be handed back to the OS with `decommit`; it then reads as zero again.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class MemoryTrap(Exception):
 
 
 class ContractViolation(ValueError):
-    """Caller broke a reserve/protect precondition (unaligned or out-of-region page)."""
+    """Caller broke a reserve/protect/decommit precondition (unaligned or out-of-region range)."""
 
 
 class MemoryExhausted(Exception):
@@ -54,6 +55,11 @@ class SimulatedBacking:
     the last region hit (a bisect over region bases on a miss), and the pages
     it spans are found with a page mask, so an access within one page costs
     one set lookup, and none while no page is protected.
+
+    Regions are private mappings, so `decommit` both returns their pages to
+    the OS and makes them read as zero. (In a shared anonymous mapping, which
+    is what `mmap.mmap(-1, n)` gives by default, MADV_DONTNEED only unmaps
+    the pages: they stay allocated and keep their bytes.)
     """
 
     page_size: int = 4096
@@ -62,6 +68,8 @@ class SimulatedBacking:
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
             raise ContractViolation(f"page size must be a power of two, got {self.page_size}")
         self._page_mask = -self.page_size
+        # The unit `decommit` works in: a whole simulated page and a whole OS page.
+        self.decommit_granule = max(self.page_size, mmap.PAGESIZE)
         self._regions: dict[int, _Region] = {}
         self._bases: list[int] = []
         self._protected: set[int] = set()
@@ -78,7 +86,7 @@ class SimulatedBacking:
         # Anonymous mmap commits pages lazily, which keeps large
         # mostly-untouched reservations cheap.
         try:
-            buf = mmap.mmap(-1, length)
+            buf = mmap.mmap(-1, length, mmap.MAP_PRIVATE)
         except (OSError, ValueError, OverflowError, MemoryError) as exc:
             raise MemoryExhausted(f"cannot map {length} bytes: {exc}") from exc
         with self._lock:
@@ -98,6 +106,26 @@ class SimulatedBacking:
             for page in range(base, base + region.length, self.page_size):
                 self._protected.discard(page)
         region.buf.close()
+
+    def decommit(self, address: int, length: int) -> None:
+        """Return [address, address + length) to the OS; it reads as zero afterwards.
+
+        The range must lie in one region; its offset from the region's base
+        must be a multiple of `decommit_granule`, and its length a positive
+        multiple. Protection is left as it is. The region is found as the
+        accessors find it.
+        """
+        region = self._last
+        off = address - region.base
+        if not 0 <= off < region.length or off + length > region.length:
+            region = self._region_for(address, length)
+            off = address - region.base
+        granule = self.decommit_granule
+        if length <= 0 or off % granule or length % granule:
+            raise ContractViolation(
+                f"decommit [{address:#x}, +{length}) is not aligned to {granule} bytes"
+            )
+        region.buf.madvise(mmap.MADV_DONTNEED, off, length)
 
     def region_of(self, address: int) -> Optional[_Region]:
         idx = bisect.bisect_right(self._bases, address) - 1

@@ -210,6 +210,29 @@ def test_bench_tiny_run(capsys):
     assert "malloc" in out and "free" in out and "ns/op" in out
 
 
+def test_bench_json_records(capsys):
+    code, out, _ = run(capsys, "bench", "--size", "64", "--total-bytes", str(1 << 20),
+                       "--threads", "2", "--reps", "2", "--seed", "7", "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["rep"] for r in records] == [0, 1]
+    for record in records:
+        assert set(record) == {"rep", "seed", "size", "ops", "threads", "malloc_ns",
+                               "free_ns", "elapsed_s", "peak_rss_mb"}
+        assert record["seed"] == 7 and record["size"] == 64 and record["threads"] == 2
+        assert record["ops"] == (1 << 20) // 64
+        assert record["malloc_ns"] > 0 and record["free_ns"] > 0
+        assert record["elapsed_s"] > 0 and record["peak_rss_mb"] > 1
+
+    code, out, _ = run(capsys, "bench", "--size", "64", "--total-bytes", str(1 << 20),
+                       "--reps", "1", "--seed", "7")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[0] == "rep=0 size=64 ops=16384 threads=1"
+    assert lines[1].startswith("  malloc: ") and lines[1].endswith(" ns/op")
+    assert lines[2].startswith("  free:   ") and lines[2].endswith(" ns/op")
+
+
 def test_bench_rejects_empty_workload(capsys):
     code, out, _ = run(capsys, "bench", "--size", "64", "--total-bytes", "0")
     assert code == 2

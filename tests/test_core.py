@@ -2,8 +2,14 @@
 
 import io
 import contextlib
+import logging
+import mmap
+import os
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -34,21 +40,32 @@ REPORT_LINE = re.compile(
 )
 
 
+class _LogLines(logging.Handler):
+    """Collects the messages logged to the "s2alloc" logger while installed."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
 def expect_detection(heap, kind):
-    """Context manager asserting a detection of `kind` with a well-formed stderr line."""
+    """Context manager asserting a detection of `kind` with a well-formed log line."""
 
     class _Ctx:
         def __enter__(self):
-            self.stderr = io.StringIO()
-            self._redirect = contextlib.redirect_stderr(self.stderr)
-            self._redirect.__enter__()
+            self._lines = _LogLines()
+            logging.getLogger("s2alloc").addHandler(self._lines)
             return self
 
         def __exit__(self, exc_type, exc, tb):
-            self._redirect.__exit__(None, None, None)
+            logging.getLogger("s2alloc").removeHandler(self._lines)
             assert exc_type is HeapCorruptionError, f"expected detection, got {exc_type}"
             assert exc.report.kind == kind
-            line = self.stderr.getvalue().strip().splitlines()[-1]
+            line = self._lines.lines[-1]
+            assert line == exc.report.line()
             assert REPORT_LINE.match(line), line
             assert kind.value in line
             self.report = exc.report
@@ -286,19 +303,43 @@ def test_detection_report_fields():
     assert "already free" in ctx.report.detail
 
 
-def test_non_abort_mode_reports_and_returns():
+def test_non_abort_mode_reports_and_returns(caplog):
     seen = []
     heap = ThreadHeap(
         config_from_env(env={}, seed=1, guard_page_rate=0.0, abort_on_tamper=False),
         on_detection=seen.append,
     )
     address = heap.malloc(24)
-    with contextlib.redirect_stderr(io.StringIO()) as err:
+    with caplog.at_level(logging.WARNING, logger="s2alloc"):
         report = heap.free(address + 16)
     assert report is not None and report.kind == DetectionKind.INVALID_FREE
     assert seen == [report] and heap.reports == [report]
-    assert REPORT_LINE.match(err.getvalue().strip())
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("s2alloc", logging.WARNING, report.line())]
+    assert REPORT_LINE.match(report.line())
     assert heap.free(address) is None  # the true pointer still frees cleanly
+
+
+def test_detection_goes_to_stderr_when_logging_is_not_configured():
+    """With no handler anywhere, logging's last-resort handler prints each
+    report's line to stderr, as a bare print did; abort mode still raises."""
+    script = (
+        "from s2alloc.config import config_from_env\n"
+        "from s2alloc.core import HeapCorruptionError, ThreadHeap\n"
+        "heap = ThreadHeap(config_from_env(env={}, seed=1, guard_page_rate=0.0))\n"
+        "address = heap.malloc(24)\n"
+        "heap.free(address)\n"
+        "try:\n"
+        "    heap.free(address)\n"
+        "except HeapCorruptionError as exc:\n"
+        "    print(exc.report.line())\n"
+    )
+    src = str(Path(sys.modules["s2alloc"].__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    line = done.stdout.strip()
+    assert REPORT_LINE.match(line) and "DOUBLE_FREE" in line
+    assert done.stderr == line + "\n"
 
 
 def test_non_abort_malloc_returns_null_on_tamper():
@@ -428,6 +469,71 @@ def test_patrol_reports_match_slot_by_slot_reference(request_size):
     assert reports > 0
     if not bag0.small:
         assert {FREE_FRESH, FREE_MAC} <= set(bag0.taken)
+
+
+# -- decommit of freed page-sized slots ---------------------------------------------
+
+
+def granules_of_slot(heap, sb, slot):
+    """(every whole decommit granule of a slot, the ones its free canary touches),
+    as buffer offsets of their starts."""
+    g = max(heap.cfg.page_size, mmap.PAGESIZE)
+    b = sb.bag.b
+    start = sb.off + slot * b
+    whole = set(range(-(-start // g) * g, start + b - g + 1, g))
+    f = sb.bag.offset[(sb.index << 8) + slot]
+    c = heap.cfg.fbc_len
+    touched = set(range((start + f) // g * g, start + f + c, g))
+    return whole, whole & touched
+
+
+@pytest.mark.parametrize("page_size", [4096, 1024])
+@pytest.mark.parametrize("request_size", [3000, 3400, 6000, 18000],
+                         ids=["class4096", "class4608", "class8192", "class24576"])
+def test_free_decommits_every_whole_granule_but_the_canarys(page_size, request_size):
+    heap = make_heap(page_size=page_size, seed=9)
+    live = [heap.malloc(request_size) for _ in range(40)]
+    before = {}
+    for address in live:
+        heap.backing.write(address, b"\xee" * request_size)
+        _, sb, slot = heap.resolve(address)
+        before[address] = bytes(sb.buf[sb.off + slot * sb.bag.b:sb.off + (slot + 1) * sb.bag.b])
+        heap.free(address)
+    bag = heap.resolve(live[0])[1].bag
+    g = max(page_size, mmap.PAGESIZE)
+    assert bag.decommits == (bag.b > g)
+    decommitted = 0
+    for address in live:
+        _, sb, slot = heap.resolve(address)
+        gid = (sb.index << 8) + slot
+        assert bag.taken[gid] == FREE_MAC
+        whole, kept = granules_of_slot(heap, sb, slot)
+        for off in whole - kept:
+            assert sb.buf[off:off + g] == bytes(g)
+            decommitted += 1
+        # The canary's granules keep their bytes, but for the canary itself.
+        start, f, c = sb.off + slot * bag.b, bag.offset[gid], heap.cfg.fbc_len
+        stale = bytearray(before[address])
+        stale[f:f + c] = sb.fbc[slot * c:(slot + 1) * c]
+        for off in kept:
+            assert sb.buf[off:off + g] == stale[off - start:off - start + g]
+
+        # The patrol still checks the canary alone: a write to a returned
+        # granule goes unseen, as any write outside the canary always did,
+        # and a flipped canary byte is still reported.
+        if whole - kept:
+            spot = sb.base + min(whole - kept) - sb.off
+            heap.backing.raw_write(spot, b"\x41")
+            assert heap.check_fbc(sb, slot).intact
+            assert patrol_verdict(heap, bag, gid) is None
+        spot = sb.base + slot * bag.b + bag.offset[gid]
+        original = heap.backing.raw_read(spot, 1)
+        heap.backing.raw_write(spot, bytes([original[0] ^ 0x5A]))
+        expected = reference_patrol(heap, bag, gid)
+        assert expected is not None and expected[0] == sb.base + slot * bag.b
+        assert patrol_verdict(heap, bag, gid) == expected
+        heap.backing.raw_write(spot, original)
+    assert (decommitted > 0) == bag.decommits
 
 
 # -- huge allocations ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Simulated address space: reservations, page protection, checked vs raw access."""
 
 import bisect
+import mmap
 import random
 
 import pytest
@@ -156,6 +157,57 @@ def test_mmap_failure_is_memory_exhausted(backing, monkeypatch):
     assert list(backing.iter_regions()) == []
 
 
+# -- decommit ------------------------------------------------------------------
+
+
+def test_decommit_reads_as_zero_and_keeps_the_rest(backing):
+    g = backing.decommit_granule
+    base = backing.reserve(4 * g)
+    backing.write(base, b"\xab" * (4 * g))
+    backing.decommit(base + g, 2 * g)
+    assert backing.read(base, g) == b"\xab" * g
+    assert backing.read(base + g, 2 * g) == bytes(2 * g)
+    assert backing.read(base + 3 * g, g) == b"\xab" * g
+    backing.write(base + g + 5, b"back")  # a decommitted range is writable again
+    assert backing.read(base + g, 9) == bytes(5) + b"back"
+
+
+def test_decommit_granule_is_the_larger_page():
+    assert SimulatedBacking(page_size=1024).decommit_granule == max(1024, mmap.PAGESIZE)
+    assert SimulatedBacking(page_size=16384).decommit_granule == max(16384, mmap.PAGESIZE)
+
+
+def test_decommit_rejects_misaligned_or_cross_region_ranges():
+    backing = SimulatedBacking(page_size=1024)
+    g = backing.decommit_granule
+    a = backing.reserve(3 * g + 1024)  # the next region's base is not g-aligned
+    b = backing.reserve(2 * g)
+    bad = [
+        (a + 1, g), (a + 1024, g), (a, 1024), (a, g + 1), (a, 0), (a, -g),  # alignment
+        (a + 3 * g, g), (a + 2 * g, 2 * g), (b - g, 2 * g),                    # past the end
+        (a + 4 * g, g), (12345 * g, g),                                       # outside any
+    ]
+    for address, length in bad:
+        with pytest.raises(ContractViolation):
+            backing.decommit(address, length)
+    backing.decommit(b, g)  # aligned to its region's base, not to the address
+    backing.decommit(a + 2 * g, g)
+    backing.protect(a)
+    backing.decommit(a, g)  # protection does not matter and stays
+    assert backing.is_protected(a)
+
+
+def test_release_after_decommit(backing):
+    g = backing.decommit_granule
+    base = backing.reserve(2 * g)
+    backing.write(base, b"x" * (2 * g))
+    backing.decommit(base, 2 * g)
+    backing.release(base)
+    with pytest.raises(ContractViolation):
+        backing.decommit(base, g)
+    assert list(backing.iter_regions()) == []
+
+
 # -- the access layer against a reference ----------------------------------
 
 
@@ -207,6 +259,14 @@ class ReferenceAccess:
         buf, off = self._locate(address, len(data))
         buf[off:off + len(data)] = data
 
+    def decommit(self, address, length):
+        """Zero-fill, under the same contract as the backing's decommit."""
+        granule = max(self.page_size, mmap.PAGESIZE)
+        buf, off = self._locate(address, length)
+        if length <= 0 or off % granule or length % granule:
+            raise ContractViolation("misaligned decommit")
+        buf[off:off + length] = bytes(length)
+
 
 def _outcome(call, *args):
     """What an access returned or raised, in comparable form."""
@@ -244,6 +304,12 @@ class _Twins:
     def release(self, base):
         self.old.release(base)
         self.new.release(base)
+
+    def decommit(self, address, length):
+        expected = _outcome(self.ref.decommit, address, length)
+        found = _outcome(self.new.decommit, address, length)
+        assert found[0] == expected[0], (hex(address), length, found, expected)
+        return found
 
     def access(self, op, address, arg):
         expected = _outcome(getattr(self.ref, op), address, arg)
@@ -321,7 +387,8 @@ def test_released_cached_region_is_not_served():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_random_accesses_match_reference(seed):
     """Random reads and writes, checked and raw, around region and page edges,
-    while pages are protected and unprotected and regions come and go."""
+    while pages are protected and unprotected, ranges are decommitted and
+    regions come and go."""
     rng = random.Random(seed)
     ps = 4096
     twins = _Twins(ps)
@@ -349,6 +416,17 @@ def test_random_accesses_match_reference(seed):
                 twins.unprotect(page)
             else:
                 twins.protect(page)
+            continue
+        if roll < 0.2:
+            base = rng.choice(live) if rng.random() < 0.9 else rng.choice(list(sizes))
+            g = twins.new.decommit_granule
+            address = base + g * rng.randrange(sizes[base] // g + 1)
+            length = g * rng.randint(0, 3)
+            if rng.random() < 0.2:
+                address += rng.choice([-16, 16, ps // 2])
+            if rng.random() < 0.2:
+                length += rng.choice([-1, 1, ps // 2])
+            twins.decommit(address, length)
             continue
         base = rng.choice(live) if rng.random() < 0.9 else rng.choice(list(sizes))
         size = sizes[base]
